@@ -80,9 +80,9 @@ trap 'rm -rf "$DURABILITY_DIR" "$CHAOS_DIR"' EXIT
 
 echo "== cold-start attach smoke"
 # Save a checkpoint during the benchmark, then cold-start it both ways —
-# deep heap load and O(1) mmap attach — run a query sample on each and
-# compare content hashes + answers (full_benchmark exits 1 on any
-# divergence). Also exercises the overlapped DM/QR2 generation path.
+# verified attach and O(1) mmap attach — and compare content hashes and
+# a query sample against the generated heap database (full_benchmark
+# exits 1 on any divergence). Also exercises the overlapped DM/QR2 generation path.
 ATTACH_DIR="$(mktemp -d)"
 trap 'rm -rf "$DURABILITY_DIR" "$CHAOS_DIR" "$ATTACH_DIR"' EXIT
 "$BUILD_DIR/examples/full_benchmark" -scale 0.002 -queries 5 -overlap \

@@ -1,7 +1,11 @@
 #include "engine/checkpoint.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <bit>
-#include <cstdio>
+#include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -39,26 +43,39 @@ constexpr size_t kHeaderSize = 8 + 4 + 8 + 4;  // magic, cols, rows, dir crc
 // files fail the directory CRC and load as clean kDataLoss.
 constexpr size_t kDirEntrySize = 1 + 1 + 8 + 8 + 8 + 8 + 8 + 8 + 8 + 4;
 
+/// Publishes `contents` at `path` via a uniquely named temporary file in
+/// the same directory plus rename. Each writer gets its own inode, so a
+/// concurrent writer never truncates or rewrites a file another writer
+/// published — which a reader may already have mapped.
 Status WriteFileAtomically(const std::string& path,
                            const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("checkpoint: cannot create " + tmp);
-    out.write(contents.data(),
-              static_cast<std::streamsize>(contents.size()));
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return Status::IoError("checkpoint: short write to " + tmp);
-    }
+  std::string tmp = path + ".tmp.XXXXXX";
+  const int fd = ::mkstemp(tmp.data());
+  if (fd < 0) {
+    return Status::IoError("checkpoint: cannot create " + tmp + ": " +
+                           std::strerror(errno));
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
+  // mkstemp creates owner-only files; published checkpoints stay
+  // readable by other processes, as files created by open(2) are.
+  ::fchmod(fd, 0644);
+  const char* p = contents.data();
+  size_t left = contents.size();
+  while (left > 0) {
+    const ssize_t n = ::write(fd, p, left);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    p += n;
+    left -= static_cast<size_t>(n);
+  }
+  if (::close(fd) != 0 || left > 0) {
+    ::unlink(tmp.c_str());
+    return Status::IoError("checkpoint: short write to " + tmp);
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    const std::string err = std::strerror(errno);
+    ::unlink(tmp.c_str());
     return Status::IoError("checkpoint: rename " + tmp + " -> " + path +
-                           ": " + ec.message());
+                           ": " + err);
   }
   return Status::OK();
 }
@@ -94,7 +111,7 @@ uint64_t LoadU64(const char* p) {
   return v;
 }
 
-/// Per-column section placement, shared by the writer and both readers.
+/// Per-column section placement, shared by the writer and the reader.
 /// Section meaning depends on the encoding:
 ///   plain numeric  data = int64 × rows
 ///   plain string   data = u64 offsets × (rows+1), arena = string bytes
@@ -134,6 +151,11 @@ struct ColumnLayout {
     }
     return 0;
   }
+  /// Plain-string and dictionary columns carry a string arena.
+  bool has_arena() const {
+    return encoding == ColEncoding::kDict ||
+           (encoding == ColEncoding::kPlain && is_string());
+  }
   /// Byte length of the aux section (0 when the encoding has none).
   uint64_t aux_len() const {
     switch (encoding) {
@@ -154,6 +176,16 @@ uint64_t ArenaLength(const StorageColumn& col) {
   uint64_t total = 0;
   for (size_t r = 0; r < col.size(); ++r) total += col.Str(r).size();
   return total;
+}
+
+/// CRC over one column's sections — nulls, data, aux, arena — back to
+/// back, padding excluded. `data` is the whole table file.
+uint32_t SectionCrc(const char* data, const ColumnLayout& l, uint64_t rows) {
+  uint32_t crc = Crc32(data + l.nulls_off, rows);
+  crc = Crc32(data + l.data_off, l.data_len(rows), crc);
+  if (l.aux_len() > 0) crc = Crc32(data + l.aux_off, l.aux_len(), crc);
+  if (l.has_arena()) crc = Crc32(data + l.arena_off, l.arena_len, crc);
+  return crc;
 }
 
 std::string EncodeTableFile(const EngineTable& table) {
@@ -191,8 +223,7 @@ std::string EncodeTableFile(const EngineTable& table) {
       l.aux_off = off = AlignUp(off);
       off += l.aux_len();
     }
-    if (l.encoding == ColEncoding::kDict ||
-        (l.encoding == ColEncoding::kPlain && col.is_string())) {
+    if (l.has_arena()) {
       l.arena_len = ArenaLength(col);
       l.arena_off = off = AlignUp(off);
       off += l.arena_len;
@@ -225,10 +256,8 @@ std::string EncodeTableFile(const EngineTable& table) {
   for (size_t c = 0; c < cols; ++c) {
     const StorageColumn& col = table.column(c);
     const ColumnLayout& l = layout[c];
-    uint32_t crc = 0;
     out.resize(l.nulls_off, '\0');
     out.append(reinterpret_cast<const char*>(col.nulls().data()), rows);
-    crc = Crc32(out.data() + l.nulls_off, rows, crc);
     out.resize(l.data_off, '\0');
     switch (l.encoding) {
       case ColEncoding::kPlain:
@@ -257,7 +286,6 @@ std::string EncodeTableFile(const EngineTable& table) {
                    l.data_len(rows));
         break;
     }
-    crc = Crc32(out.data() + l.data_off, l.data_len(rows), crc);
     if (l.aux_len() > 0) {
       out.resize(l.aux_off, '\0');
       if (l.encoding == ColEncoding::kDict) {
@@ -267,9 +295,8 @@ std::string EncodeTableFile(const EngineTable& table) {
         out.append(reinterpret_cast<const char*>(col.RleEnds()),
                    l.aux_len());
       }
-      crc = Crc32(out.data() + l.aux_off, l.aux_len(), crc);
     }
-    if (l.arena_off != 0 || l.arena_len != 0) {
+    if (l.has_arena()) {
       out.resize(l.arena_off, '\0');
       if (l.encoding == ColEncoding::kDict) {
         out.append(col.DictArena(), l.arena_len);
@@ -279,9 +306,8 @@ std::string EncodeTableFile(const EngineTable& table) {
           out.append(s.data(), s.size());
         }
       }
-      crc = Crc32(out.data() + l.arena_off, l.arena_len, crc);
     }
-    PatchU32(&out, crc_pos[c], crc);
+    PatchU32(&out, crc_pos[c], SectionCrc(out.data(), l, rows));
   }
   // Directory CRC covers the final directory bytes, section CRCs included.
   PatchU32(&out, dir_crc_pos,
@@ -438,9 +464,6 @@ Status ParseTableHeader(const char* data, size_t size,
     }
     const uint64_t data_len = l.data_len(rows);
     const uint64_t aux_len = l.aux_len();
-    const bool has_arena =
-        l.encoding == ColEncoding::kDict ||
-        (l.encoding == ColEncoding::kPlain && l.is_string());
     // Bounds + alignment: mapped readers dereference these offsets
     // directly, so reject anything that escapes the file or would
     // misalign an int64 load.
@@ -448,7 +471,7 @@ Status ParseTableHeader(const char* data, size_t size,
         l.nulls_off + rows > size || l.data_off + data_len > size ||
         (aux_len > 0 &&
          (l.aux_off % kSectionAlign != 0 || l.aux_off + aux_len > size)) ||
-        (has_arena &&
+        (l.has_arena() &&
          (l.arena_off % kSectionAlign != 0 ||
           l.arena_off + l.arena_len > size))) {
       return Status::DataLoss(col_ctx + " sections out of bounds");
@@ -479,113 +502,61 @@ Status ParseTableHeader(const char* data, size_t size,
   return Status::OK();
 }
 
-/// Deep load of one table file: whole-file CRC (from the manifest), every
-/// section CRC, then heap materialisation.
-Status LoadTableFile(EngineTable* table, const ManifestTable& entry,
-                     const std::string& path) {
-  TPCDS_ASSIGN_OR_RETURN(std::string data, ReadWholeFile(path));
-  if (Crc32(data.data(), data.size()) != entry.file_crc) {
-    return Status::DataLoss("checkpoint table " + entry.name +
-                            ": file CRC mismatch with manifest");
+/// True when `count + 1` u64 offsets at `base` start at 0 and never
+/// decrease or pass `limit` — every string they delimit lies in the arena.
+bool OffsetsMonotonic(const char* base, uint64_t count, uint64_t limit) {
+  uint64_t prev = LoadU64(base);
+  if (prev != 0) return false;
+  for (uint64_t i = 1; i <= count; ++i) {
+    const uint64_t next = LoadU64(base + i * sizeof(uint64_t));
+    if (next < prev || next > limit) return false;
+    prev = next;
   }
-  const std::string ctx = "checkpoint table " + entry.name;
-  std::vector<ColumnLayout> layout;
-  TPCDS_RETURN_NOT_OK(
-      ParseTableHeader(data.data(), data.size(), entry, &layout));
-  const size_t rows = static_cast<size_t>(entry.rows);
+  return true;
+}
+
+/// The full verification pass of LoadCheckpoint over one table file whose
+/// header and directory ParseTableHeader already accepted: every section
+/// CRC, then the structural invariants mapped accessors rely on but the
+/// O(1) header probes cannot see. A file that passes serves every row of
+/// every column without an out-of-bounds read.
+Status VerifySections(const char* data, const ManifestTable& entry,
+                      const std::vector<ColumnLayout>& layout) {
+  const uint64_t rows = entry.rows;
   for (size_t c = 0; c < layout.size(); ++c) {
     const ColumnLayout& l = layout[c];
-    const std::string col_ctx = ctx + " column " + std::to_string(c);
-    uint32_t crc = Crc32(data.data() + l.nulls_off, rows);
-    crc = Crc32(data.data() + l.data_off, l.data_len(rows), crc);
-    if (l.aux_len() > 0) {
-      crc = Crc32(data.data() + l.aux_off, l.aux_len(), crc);
-    }
-    if (l.encoding == ColEncoding::kDict ||
-        (l.encoding == ColEncoding::kPlain && l.is_string())) {
-      crc = Crc32(data.data() + l.arena_off, l.arena_len, crc);
-    }
-    if (crc != l.section_crc) {
+    const std::string col_ctx =
+        "checkpoint table " + entry.name + " column " + std::to_string(c);
+    if (SectionCrc(data, l, rows) != l.section_crc) {
       return Status::DataLoss(col_ctx + ": section CRC mismatch");
     }
-    const auto* null_bytes =
-        reinterpret_cast<const uint8_t*>(data.data() + l.nulls_off);
-    std::vector<uint8_t> nulls(null_bytes, null_bytes + rows);
-    std::vector<int64_t> nums;
-    std::vector<std::string> strings;
-    // The deep path materialises *plain* storage regardless of the
-    // on-disk encoding — it is the fully-validated recovery path, and the
-    // decode doubles as an end-to-end check of the encoded sections.
-    // Content hashes are representation-independent, so recovery
-    // verification against the WAL is unaffected.
     switch (l.encoding) {
       case ColEncoding::kPlain:
-        if (l.is_string()) {
-          const char* offsets_base = data.data() + l.data_off;
-          const char* arena = data.data() + l.arena_off;
-          strings.reserve(rows);
-          uint64_t prev = LoadU64(offsets_base);
-          if (prev != 0) {
-            return Status::DataLoss(col_ctx + ": offsets do not start at 0");
-          }
-          for (size_t r = 0; r < rows; ++r) {
-            uint64_t next =
-                LoadU64(offsets_base + (r + 1) * sizeof(uint64_t));
-            if (next < prev || next > l.arena_len) {
-              return Status::DataLoss(col_ctx + ": non-monotonic offsets");
-            }
-            strings.emplace_back(arena + prev, next - prev);
-            prev = next;
-          }
-        } else {
-          nums.resize(rows);
-          std::memcpy(nums.data(), data.data() + l.data_off,
-                      rows * sizeof(int64_t));
+        if (l.is_string() &&
+            !OffsetsMonotonic(data + l.data_off, rows, l.arena_len)) {
+          return Status::DataLoss(col_ctx + ": non-monotonic offsets");
         }
         break;
       case ColEncoding::kDict: {
-        const char* codes_base = data.data() + l.data_off;
-        const char* offsets_base = data.data() + l.aux_off;
-        const char* arena = data.data() + l.arena_off;
-        const uint64_t ndv = l.param0;
-        uint64_t prev = ndv > 0 ? LoadU64(offsets_base) : 0;
-        if (ndv > 0 && prev != 0) {
-          return Status::DataLoss(col_ctx +
-                                  ": dict offsets do not start at 0");
+        if (!OffsetsMonotonic(data + l.aux_off, l.param0, l.arena_len)) {
+          return Status::DataLoss(col_ctx + ": non-monotonic dict offsets");
         }
-        for (uint64_t d = 0; d < ndv; ++d) {
-          uint64_t next = LoadU64(offsets_base + (d + 1) * sizeof(uint64_t));
-          if (next < prev || next > l.arena_len) {
-            return Status::DataLoss(col_ctx + ": non-monotonic dict offsets");
-          }
-          prev = next;
-        }
-        strings.reserve(rows);
-        for (size_t r = 0; r < rows; ++r) {
-          const uint32_t code = LoadU32(codes_base + r * sizeof(uint32_t));
-          if (code >= ndv) {
+        const char* codes = data + l.data_off;
+        for (uint64_t r = 0; r < rows; ++r) {
+          if (LoadU32(codes + r * sizeof(uint32_t)) >= l.param0) {
             return Status::DataLoss(col_ctx + ": dict code out of range");
           }
-          const uint64_t lo = LoadU64(offsets_base + code * sizeof(uint64_t));
-          const uint64_t hi =
-              LoadU64(offsets_base + (code + 1) * sizeof(uint64_t));
-          strings.emplace_back(arena + lo, hi - lo);
         }
         break;
       }
       case ColEncoding::kRle: {
-        const char* values_base = data.data() + l.data_off;
-        const char* ends_base = data.data() + l.aux_off;
-        nums.reserve(rows);
+        const char* ends = data + l.aux_off;
         uint32_t prev_end = 0;
         for (uint64_t run = 0; run < l.param0; ++run) {
-          const uint32_t end = LoadU32(ends_base + run * sizeof(uint32_t));
+          const uint32_t end = LoadU32(ends + run * sizeof(uint32_t));
           if (end <= prev_end || end > rows) {
             return Status::DataLoss(col_ctx + ": non-increasing run ends");
           }
-          int64_t v;
-          std::memcpy(&v, values_base + run * sizeof(int64_t), sizeof(v));
-          nums.insert(nums.end(), end - prev_end, v);
           prev_end = end;
         }
         if (prev_end != rows) {
@@ -593,49 +564,29 @@ Status LoadTableFile(EngineTable* table, const ManifestTable& entry,
         }
         break;
       }
-      case ColEncoding::kFor: {
-        const char* words_base = data.data() + l.data_off;
-        const int64_t base = static_cast<int64_t>(l.param0);
-        const uint32_t width = static_cast<uint32_t>(l.param1);
-        const uint64_t mask =
-            width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
-        nums.resize(rows);
-        for (size_t r = 0; r < rows; ++r) {
-          uint64_t v = 0;
-          if (width > 0) {
-            const uint64_t bit = static_cast<uint64_t>(r) * width;
-            uint64_t w0;
-            std::memcpy(&w0, words_base + (bit >> 6) * 8, 8);
-            const unsigned shift = static_cast<unsigned>(bit & 63);
-            v = w0 >> shift;
-            if (shift + width > 64) {
-              // The padding word keeps this read in-bounds for the last
-              // packed value.
-              uint64_t w1;
-              std::memcpy(&w1, words_base + ((bit >> 6) + 1) * 8, 8);
-              v |= w1 << (64 - shift);
-            }
-          }
-          nums[r] = base + static_cast<int64_t>(v & mask);
-        }
-        break;
-      }
+      case ColEncoding::kFor:
+        break;  // any packed word decodes; the header bounded the width
     }
-    TPCDS_RETURN_NOT_OK(table->LoadColumnStorage(
-        c, std::move(nums), std::move(strings), std::move(nulls)));
   }
-  return table->FinishRawLoad(static_cast<int64_t>(rows));
+  return Status::OK();
 }
 
-/// O(1) attach of one table file: header + directory verification, then
-/// every column points into the mapped pages.
+/// Attaches one table file: mmap, header + directory verification, then
+/// every column points into the mapped pages. With `verify` (the
+/// LoadCheckpoint path) the whole-file CRC against the manifest and
+/// VerifySections run over the same mapping before anything is attached.
 Status AttachTableFile(EngineTable* table, const ManifestTable& entry,
-                       const std::string& path) {
+                       const std::string& path, bool verify) {
   TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<MappedFile> file,
                          MappedFile::Open(path));
+  if (verify && Crc32(file->data(), file->size()) != entry.file_crc) {
+    return Status::DataLoss("checkpoint table " + entry.name +
+                            ": file CRC mismatch with manifest");
+  }
   std::vector<ColumnLayout> layout;
   TPCDS_RETURN_NOT_OK(
       ParseTableHeader(file->data(), file->size(), entry, &layout));
+  if (verify) TPCDS_RETURN_NOT_OK(VerifySections(file->data(), entry, layout));
   const size_t rows = static_cast<size_t>(entry.rows);
   for (size_t c = 0; c < layout.size(); ++c) {
     const ColumnLayout& l = layout[c];
@@ -680,9 +631,6 @@ Status AttachTableFile(EngineTable* table, const ManifestTable& entry,
   }
   return table->FinishRawLoad(static_cast<int64_t>(rows));
 }
-
-using TableFileLoader = Status (*)(EngineTable*, const ManifestTable&,
-                                   const std::string&);
 
 /// Writes the statistics sidecar: every table whose stats are currently
 /// computed (Database::AnalyzeStorage computes all of them) serialises
@@ -744,8 +692,7 @@ Status LoadStatsFile(Database* db, const std::string& dir) {
   return Status::OK();
 }
 
-Status RestoreCheckpoint(Database* db, const std::string& dir,
-                         TableFileLoader load_table) {
+Status RestoreCheckpoint(Database* db, const std::string& dir, bool verify) {
   if (!db->TableNames().empty()) {
     return Status::InvalidArgument(
         "checkpoint: target database is not empty");
@@ -754,8 +701,8 @@ Status RestoreCheckpoint(Database* db, const std::string& dir,
   for (const ManifestTable& entry : manifest.tables) {
     TPCDS_RETURN_NOT_OK(db->CreateTable(entry.name, entry.columns));
     EngineTable* table = db->FindTable(entry.name);
-    TPCDS_RETURN_NOT_OK(
-        load_table(table, entry, dir + "/" + entry.name + ".col"));
+    TPCDS_RETURN_NOT_OK(AttachTableFile(
+        table, entry, dir + "/" + entry.name + ".col", verify));
   }
   db->set_generation(manifest.generation);
   return LoadStatsFile(db, dir);
@@ -798,11 +745,11 @@ Status SaveCheckpointTo(const Database& db, const std::string& dir) {
 }
 
 Status LoadCheckpointFrom(Database* db, const std::string& dir) {
-  return RestoreCheckpoint(db, dir, &LoadTableFile);
+  return RestoreCheckpoint(db, dir, /*verify=*/true);
 }
 
 Status AttachCheckpointFrom(Database* db, const std::string& dir) {
-  return RestoreCheckpoint(db, dir, &AttachTableFile);
+  return RestoreCheckpoint(db, dir, /*verify=*/false);
 }
 
 Status Database::SaveCheckpoint(const std::string& dir) const {

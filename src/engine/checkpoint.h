@@ -17,8 +17,11 @@ namespace tpcds {
 ///                   "TPCDSTB2" | u32 col_count | u64 row_count |
 ///                   u32 dir_crc | directory | payload sections
 ///                 The directory has one fixed-width entry per column:
-///                   u8 type | u64 nulls_off | u64 data_off |
-///                   u64 arena_off | u64 arena_len | u32 section_crc
+///                   u8 type | u8 encoding | u64 nulls_off | u64 data_off |
+///                   u64 aux_off | u64 arena_off | u64 arena_len |
+///                   u64 param0 | u64 param1 | u32 section_crc
+///                 (encoded sections are described at ColumnLayout in
+///                 checkpoint.cc; the plain ones follow)
 ///                 Every section offset is 64-byte aligned (absolute file
 ///                 offsets; zero padding between sections, none after the
 ///                 last). Per column the sections are: null bytes (one per
@@ -28,31 +31,40 @@ namespace tpcds {
 ///                 string bytes back to back. Row r's string is
 ///                 arena[offsets[r] .. offsets[r+1]), so a mapped column
 ///                 serves zero-copy string_views. section_crc covers the
-///                 column's null + data + arena bytes (padding excluded);
+///                 column's null + data + aux + arena bytes (padding
+///                 excluded);
 ///                 dir_crc covers the directory bytes.
 ///   MANIFEST      "TPCDSCK2" | body | u32 crc(body); the body carries the
 ///                 dataset generation id and lists every table (name, row
 ///                 count, column names + types, whole-file crc of its .col
-///                 file). Written last via tmp + rename: a directory
-///                 without a MANIFEST is not a checkpoint.
+///                 file). Written last via rename: a directory without
+///                 a MANIFEST is not a checkpoint.
 ///
-/// Two read paths share the format:
-///   - LoadCheckpointFrom: deep load. Reads each file fully, verifies the
-///     whole-file CRC against the manifest plus every section CRC, and
-///     materialises heap columns. Crash recovery uses this path — any
-///     corruption anywhere in the checkpoint yields kDataLoss.
+/// Every file is published by writing a uniquely named temporary file in
+/// the same directory and renaming it over the target, so a file another
+/// process or thread has mapped is never truncated or rewritten in place.
+///
+/// One read path, mmap attach, at two verification levels:
 ///   - AttachCheckpointFrom: O(1) cold start. mmaps each file, verifies
 ///     header + directory CRC only, and points columns at the mapped
 ///     sections without materialising payloads (strings stay zero-copy).
+///   - LoadCheckpointFrom: the same attach plus a full verification pass
+///     over the mapped bytes before any column is attached — whole-file
+///     CRC against the manifest, every section CRC, string and dictionary
+///     offsets monotonic within their arena, dictionary codes < ndv, and
+///     RLE run ends strictly increasing up to the row count. Crash
+///     recovery uses this path: any corruption anywhere in the checkpoint
+///     yields kDataLoss, and a checkpoint that passes serves every row
+///     without an out-of-bounds read.
 ///
 /// Fault sites: "ckpt-write" fires once per table file, "ckpt-manifest"
 /// before the manifest is published.
 Status SaveCheckpointTo(const Database& db, const std::string& dir);
 
-/// Loads a checkpoint into `db`, which must be empty (deep, fully
-/// CRC-verified path). Tables are created from the manifest schema; the
-/// database adopts the manifest's generation id; indexes and zone maps
-/// rebuild lazily.
+/// Loads a checkpoint into `db`, which must be empty: the mmap attach plus
+/// the full verification pass. Tables are created from the manifest
+/// schema and keep the on-disk encodings; the database adopts the
+/// manifest's generation id; indexes and zone maps rebuild lazily.
 Status LoadCheckpointFrom(Database* db, const std::string& dir);
 
 /// Attaches a checkpoint into `db` (empty) via mmap — column payloads are

@@ -116,24 +116,26 @@ class Database {
 
   /// Serialises every table's raw columnar storage into `dir` (implemented
   /// in engine/checkpoint.cc). One binary file per table plus a MANIFEST,
-  /// which is written last (via tmp + rename) so a crash mid-checkpoint
-  /// never leaves a manifest pointing at missing or partial table files.
+  /// which is written last (via a unique temporary file + rename) so a
+  /// crash mid-checkpoint never leaves a manifest pointing at missing or
+  /// partial table files.
   /// Derived state (hash indexes, zone maps) is not checkpointed — it
   /// rebuilds lazily after load.
   Status SaveCheckpoint(const std::string& dir) const;
 
   /// Restores the database from a checkpoint directory into this (empty)
-  /// database; table schemas come from the manifest. Any CRC mismatch in
-  /// manifest or table sections yields kDataLoss. This is the deep
-  /// (heap-materialising, fully CRC-verified) path.
+  /// database; table schemas come from the manifest. This is
+  /// AttachCheckpoint plus a full verification pass over the mapped bytes
+  /// (every CRC and every structural invariant, engine/checkpoint.h): any
+  /// corruption yields kDataLoss.
   Status LoadCheckpoint(const std::string& dir);
 
   /// O(1) cold start: attaches the checkpoint via mmap without
   /// materialising column payloads — columns point straight into the
   /// mapped files (zero-copy strings included) and copy-on-write to heap
   /// only if mutated. Header and directory CRCs are verified; payload
-  /// bytes are trusted until first deep read (use LoadCheckpoint when
-  /// end-to-end verification is required, e.g. crash recovery).
+  /// bytes are trusted (use LoadCheckpoint when end-to-end verification
+  /// is required, e.g. crash recovery).
   Status AttachCheckpoint(const std::string& dir);
 
   /// Parses and executes a SELECT with the database's default planner

@@ -90,29 +90,15 @@ Status WalSession::CommitOp(const std::string& op_name,
 
 Status WalSession::SetCell(EngineTable* table, int64_t row, int col,
                            const Value& v) {
-  Value before = table->GetValue(row, col);
   table->SetValue(row, col, v);
   std::string payload;
   PutLenString(&payload, table->name());
   PutU64(&payload, static_cast<uint64_t>(row));
   PutU32(&payload, static_cast<uint32_t>(col));
-  PutCell(&payload, before);
   // After-image read back from storage, not the caller's argument: what
   // got stored is what must replay.
   PutCell(&payload, table->GetValue(row, col));
-  Status logged = Log(WalRecordType::kUpdateCell, payload);
-  if (!logged.ok()) {
-    table->SetValue(row, col, before);
-    return logged;
-  }
-  AppliedRecord rec;
-  rec.type = WalRecordType::kUpdateCell;
-  rec.table = table;
-  rec.row = row;
-  rec.col = col;
-  rec.before = std::move(before);
-  applied_.push_back(std::move(rec));
-  return Status::OK();
+  return Log(WalRecordType::kUpdateCell, payload);
 }
 
 Status WalSession::AppendRowValues(EngineTable* table,
@@ -135,77 +121,19 @@ Status WalSession::LogAppendedRow(EngineTable* table) {
   for (size_t c = 0; c < table->num_columns(); ++c) {
     PutCell(&payload, table->GetValue(new_row, static_cast<int>(c)));
   }
-  Status logged = Log(WalRecordType::kAppendRow, payload);
-  if (!logged.ok()) {
-    TPCDS_RETURN_NOT_OK(table->TruncateRows(new_row));
-    return logged;
-  }
-  AppliedRecord rec;
-  rec.type = WalRecordType::kAppendRow;
-  rec.table = table;
-  applied_.push_back(std::move(rec));
-  return Status::OK();
+  return Log(WalRecordType::kAppendRow, payload);
 }
 
 Result<int64_t> WalSession::DeleteRows(
     EngineTable* table, const std::vector<int64_t>& sorted_rows) {
   if (sorted_rows.empty()) return static_cast<int64_t>(0);
-  std::vector<std::vector<Value>> images;
-  images.reserve(sorted_rows.size());
-  const size_t ncols = table->num_columns();
-  for (int64_t r : sorted_rows) {
-    std::vector<Value> image;
-    image.reserve(ncols);
-    for (size_t c = 0; c < ncols; ++c) {
-      image.push_back(table->GetValue(r, static_cast<int>(c)));
-    }
-    images.push_back(std::move(image));
-  }
   int64_t removed = table->DeleteRows(sorted_rows);
   std::string payload;
   PutLenString(&payload, table->name());
-  PutU32(&payload, static_cast<uint32_t>(ncols));
   PutU32(&payload, static_cast<uint32_t>(sorted_rows.size()));
   for (int64_t r : sorted_rows) PutU64(&payload, static_cast<uint64_t>(r));
-  for (const std::vector<Value>& image : images) {
-    for (const Value& v : image) PutCell(&payload, v);
-  }
-  Status logged = Log(WalRecordType::kDeleteRows, payload);
-  if (!logged.ok()) {
-    TPCDS_RETURN_NOT_OK(table->ReinsertRows(sorted_rows, images));
-    return logged;
-  }
-  AppliedRecord rec;
-  rec.type = WalRecordType::kDeleteRows;
-  rec.table = table;
-  rec.deleted_rows = sorted_rows;
-  rec.deleted_images = std::move(images);
-  applied_.push_back(std::move(rec));
+  TPCDS_RETURN_NOT_OK(Log(WalRecordType::kDeleteRows, payload));
   return removed;
-}
-
-Status WalSession::UndoToMark(size_t mark) {
-  while (applied_.size() > mark) {
-    AppliedRecord& rec = applied_.back();
-    switch (rec.type) {
-      case WalRecordType::kUpdateCell:
-        rec.table->SetValue(rec.row, rec.col, rec.before);
-        break;
-      case WalRecordType::kAppendRow:
-        TPCDS_RETURN_NOT_OK(
-            rec.table->TruncateRows(rec.table->num_rows() - 1));
-        break;
-      case WalRecordType::kDeleteRows:
-        TPCDS_RETURN_NOT_OK(
-            rec.table->ReinsertRows(rec.deleted_rows, rec.deleted_images));
-        break;
-      default:
-        return Status::Internal("WalSession: cannot undo record type " +
-                                std::to_string(static_cast<int>(rec.type)));
-    }
-    applied_.pop_back();
-  }
-  return Status::OK();
 }
 
 namespace {
@@ -230,10 +158,9 @@ Status ApplyRecord(Database* db, const WalRecord& record,
         return Status::DataLoss(ctx + ": cell out of range for " +
                                 table_name);
       }
-      ColumnType type = table->column_meta(col).type;
-      TPCDS_ASSIGN_OR_RETURN(Value before, ReadCell(&reader, type, ctx));
-      (void)before;  // the redo pass only needs the after-image
-      TPCDS_ASSIGN_OR_RETURN(Value after, ReadCell(&reader, type, ctx));
+      TPCDS_ASSIGN_OR_RETURN(
+          Value after,
+          ReadCell(&reader, table->column_meta(col).type, ctx));
       table->SetValue(static_cast<int64_t>(row), static_cast<int>(col),
                       after);
       return Status::OK();
@@ -253,25 +180,16 @@ Status ApplyRecord(Database* db, const WalRecord& record,
       return table->AppendRowValues(row);
     }
     case WalRecordType::kDeleteRows: {
-      TPCDS_ASSIGN_OR_RETURN(uint32_t ncols, reader.ReadU32());
-      if (ncols != table->num_columns()) {
-        return Status::DataLoss(ctx + ": arity mismatch for " + table_name);
-      }
       TPCDS_ASSIGN_OR_RETURN(uint32_t k, reader.ReadU32());
       std::vector<int64_t> rows;
       rows.reserve(k);
       for (uint32_t i = 0; i < k; ++i) {
         TPCDS_ASSIGN_OR_RETURN(uint64_t r, reader.ReadU64());
-        rows.push_back(static_cast<int64_t>(r));
-      }
-      // The before-images only matter for undo; decode (and discard) them
-      // so corruption inside the record is still detected.
-      for (uint32_t i = 0; i < k; ++i) {
-        for (uint32_t c = 0; c < ncols; ++c) {
-          TPCDS_ASSIGN_OR_RETURN(
-              Value v, ReadCell(&reader, table->column_meta(c).type, ctx));
-          (void)v;
+        if (!rows.empty() && static_cast<int64_t>(r) <= rows.back()) {
+          return Status::DataLoss(ctx + ": delete rows not ascending for " +
+                                  table_name);
         }
+        rows.push_back(static_cast<int64_t>(r));
       }
       if (!rows.empty() && rows.back() >= table->num_rows()) {
         return Status::DataLoss(ctx + ": delete row out of range for " +

@@ -12,20 +12,14 @@
 
 namespace tpcds {
 
-/// Logs data-maintenance mutations through a WalWriter while applying them,
-/// and remembers enough (in memory) to undo any suffix.
+/// Logs data-maintenance mutations through a WalWriter while applying them.
 ///
-/// Protocol per mutation: capture the before-image, apply to the table,
-/// append the logical record to the WAL, and only then add it to the
-/// in-memory undo list. If the WAL append fails, the just-applied mutation
-/// is reverted on the spot, so table state and durable log never disagree
-/// by more than the record being written.
-///
-/// Rollback is WAL-based undo: UndoToMark reverts records newest-first from
-/// the in-memory list — O(rows actually changed), unlike the whole-table
-/// Clone snapshots it replaces. The writer may be null, which turns the
-/// session into a pure in-memory undo log (used when data maintenance runs
-/// without durability).
+/// Protocol per mutation: apply to the table, then append the logical
+/// redo record (after-images only) to the WAL. There is no undo: a
+/// maintenance run mutates a private fork (RunMaintenanceGeneration), so a
+/// failed append leaves the fork ahead of the log and the fork is simply
+/// discarded. The writer may be null, which turns every call into the
+/// plain table mutation.
 class WalSession {
  public:
   /// `writer` may be null; the session does not take ownership.
@@ -52,27 +46,9 @@ class WalSession {
   Result<int64_t> DeleteRows(EngineTable* table,
                              const std::vector<int64_t>& sorted_rows);
 
-  /// Position in the undo list; pass to UndoToMark to revert a suffix.
-  size_t Mark() const { return applied_.size(); }
-
-  /// Reverts every mutation applied after `mark`, newest-first.
-  Status UndoToMark(size_t mark);
-
   WalWriter* writer() const { return writer_; }
 
  private:
-  struct AppliedRecord {
-    WalRecordType type = WalRecordType::kUpdateCell;
-    EngineTable* table = nullptr;
-    // kUpdateCell: the overwritten cell.
-    int64_t row = 0;
-    int col = 0;
-    Value before;
-    // kDeleteRows: original row indexes and full before-images.
-    std::vector<int64_t> deleted_rows;
-    std::vector<std::vector<Value>> deleted_images;
-  };
-
   /// Appends to the WAL when a writer is attached; no-op otherwise.
   Status Log(WalRecordType type, const std::string& payload);
 
@@ -80,7 +56,6 @@ class WalSession {
   Status LogAppendedRow(EngineTable* table);
 
   WalWriter* writer_;
-  std::vector<AppliedRecord> applied_;
 };
 
 /// What a recovery pass did, for the driver's report and for tests.
@@ -99,11 +74,14 @@ struct RecoveryReport {
 };
 
 /// Rebuilds a database from durable state: loads the checkpoint in
-/// `checkpoint_dir`, then replays every *committed* operation from the WAL
-/// at `wal_path` in LSN order. Uncommitted trailing records (no commit
+/// `checkpoint_dir` (Database::LoadCheckpoint — an mmap attach plus a full
+/// verification pass), then replays every *committed* operation from the
+/// WAL at `wal_path` in LSN order onto the attached tables, whose mutated
+/// columns copy-on-write to the heap. Uncommitted trailing records (no commit
 /// marker — including a torn tail) are discarded. A missing WAL file is
 /// fine (recovery to the checkpoint); a CRC failure inside the committed
-/// region is kDataLoss.
+/// region, a malformed checkpoint and a WAL of another version are all
+/// kDataLoss.
 ///
 /// `db` must be empty. Postcondition (the recovery invariant): the restored
 /// database hashes identically — HashDatabaseContent — to an in-memory

@@ -64,7 +64,7 @@ void StorageColumn::EnsureOwned() {
   // into plain owned vectors. The mapped checkpoint pages are never
   // written, and mutators never patch an encoded payload in place — a
   // mutation on a mapped encoded column lands here and decodes first, so
-  // the WAL/undo byte-identity contract sees only plain storage.
+  // the WAL byte-identity contract sees only plain storage.
   const size_t rows = size();
   std::vector<uint8_t> plain_nulls(NullsData(), NullsData() + rows);
   std::vector<int64_t> plain_nums;
@@ -422,16 +422,6 @@ void StorageColumn::Retain(const std::vector<int64_t>& keep) {
   nulls_ = std::move(new_nulls);
 }
 
-void StorageColumn::Truncate(size_t rows) {
-  EnsureOwned();
-  if (is_string()) {
-    if (strings_.size() > rows) strings_.resize(rows);
-  } else {
-    if (nums_.size() > rows) nums_.resize(rows);
-  }
-  if (nulls_.size() > rows) nulls_.resize(rows);
-}
-
 void StorageColumn::ReplaceStorage(std::vector<int64_t> nums,
                                    std::vector<std::string> strings,
                                    std::vector<uint8_t> nulls) {
@@ -526,59 +516,6 @@ int64_t EngineTable::DeleteRows(const std::vector<int64_t>& sorted_rows) {
   return deleted;
 }
 
-Status EngineTable::TruncateRows(int64_t rows) {
-  if (rows < 0 || rows > num_rows_) {
-    return Status::InvalidArgument(
-        "cannot truncate " + name_ + " to " + std::to_string(rows) +
-        " rows (has " + std::to_string(num_rows_) + ")");
-  }
-  if (rows == num_rows_) return Status::OK();
-  for (StorageColumn& c : columns_) c.Truncate(static_cast<size_t>(rows));
-  num_rows_ = rows;
-  InvalidateIndexes();
-  return Status::OK();
-}
-
-Status EngineTable::ReinsertRows(
-    const std::vector<int64_t>& sorted_rows,
-    const std::vector<std::vector<Value>>& images) {
-  if (sorted_rows.size() != images.size()) {
-    return Status::InvalidArgument("reinsert rows/images size mismatch on " +
-                                   name_);
-  }
-  if (sorted_rows.empty()) return Status::OK();
-  int64_t new_rows = num_rows_ + static_cast<int64_t>(sorted_rows.size());
-  if (sorted_rows.back() >= new_rows || sorted_rows.front() < 0) {
-    return Status::InvalidArgument("reinsert index out of range on " + name_);
-  }
-  // Rebuild each column by interleaving survivors with the before-images
-  // at their recorded positions. AppendValue(Get()) round-trips the raw
-  // storage exactly (same int64 payload / string / null byte), so the
-  // result is byte-identical to the pre-delete column.
-  for (size_t ci = 0; ci < columns_.size(); ++ci) {
-    StorageColumn rebuilt(meta_[ci].type);
-    size_t survivor = 0;
-    size_t k = 0;
-    for (int64_t j = 0; j < new_rows; ++j) {
-      if (k < sorted_rows.size() && sorted_rows[k] == j) {
-        if (images[k].size() != columns_.size()) {
-          return Status::InvalidArgument("reinsert image arity mismatch on " +
-                                         name_);
-        }
-        TPCDS_RETURN_NOT_OK(rebuilt.AppendValue(images[k][ci]));
-        ++k;
-      } else {
-        TPCDS_RETURN_NOT_OK(
-            rebuilt.AppendValue(columns_[ci].Get(survivor++)));
-      }
-    }
-    columns_[ci] = std::move(rebuilt);
-  }
-  num_rows_ = new_rows;
-  InvalidateIndexes();
-  return Status::OK();
-}
-
 size_t EngineTable::EncodeColumns() {
   size_t encoded = 0;
   for (StorageColumn& c : columns_) {
@@ -587,23 +524,12 @@ size_t EngineTable::EncodeColumns() {
   return encoded;
 }
 
-Status EngineTable::LoadColumnStorage(size_t col, std::vector<int64_t> nums,
-                                      std::vector<std::string> strings,
-                                      std::vector<uint8_t> nulls) {
-  if (col >= columns_.size()) {
-    return Status::InvalidArgument("raw load column out of range on " + name_);
-  }
-  columns_[col].ReplaceStorage(std::move(nums), std::move(strings),
-                               std::move(nulls));
-  return Status::OK();
-}
-
 Status EngineTable::FinishRawLoad(int64_t rows) {
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i].size() != static_cast<size_t>(rows) ||
         columns_[i].nulls().size() != static_cast<size_t>(rows)) {
       return Status::DataLoss(
-          "raw load of " + name_ + "." + meta_[i].name + " holds " +
+          "checkpoint attach of " + name_ + "." + meta_[i].name + " holds " +
           std::to_string(columns_[i].size()) + " rows, manifest says " +
           std::to_string(rows));
     }
@@ -705,28 +631,6 @@ std::unique_ptr<EngineTable> EngineTable::Clone() const {
   copy->columns_ = columns_;
   copy->num_rows_ = num_rows_;
   return copy;
-}
-
-Status EngineTable::RestoreFrom(const EngineTable& snapshot) {
-  if (snapshot.meta_.size() != meta_.size()) {
-    return Status::InvalidArgument(
-        "snapshot schema does not match table " + name_ + ": " +
-        std::to_string(snapshot.meta_.size()) + " columns vs " +
-        std::to_string(meta_.size()));
-  }
-  for (size_t i = 0; i < meta_.size(); ++i) {
-    if (snapshot.meta_[i].name != meta_[i].name ||
-        snapshot.meta_[i].type != meta_[i].type) {
-      return Status::InvalidArgument(
-          "snapshot schema does not match table " + name_ + ": column " +
-          std::to_string(i) + " is " + snapshot.meta_[i].name + ", want " +
-          meta_[i].name);
-    }
-  }
-  columns_ = snapshot.columns_;
-  num_rows_ = snapshot.num_rows_;
-  InvalidateIndexes();
-  return Status::OK();
 }
 
 }  // namespace tpcds

@@ -42,7 +42,7 @@ namespace tpcds {
 /// ColEncoding): dictionary for low-NDV strings, RLE for clustered ints,
 /// frame-of-reference bit-packing for dense keys. Encodings are logical
 /// no-ops — every accessor decodes on the fly and EnsureOwned() decodes
-/// back to plain vectors before any mutation — so the WAL/undo and
+/// back to plain vectors before any mutation — so the WAL and
 /// maintenance paths never see an encoded column. The vectorized kernels
 /// in engine/batch.cc evaluate predicates directly on the encoded form.
 class StorageColumn {
@@ -173,12 +173,9 @@ class StorageColumn {
   /// Keeps only rows whose index appears in `keep` (sorted ascending).
   void Retain(const std::vector<int64_t>& keep);
 
-  /// Drops every row at index >= `rows` (WAL undo of appended rows).
-  void Truncate(size_t rows);
-
-  /// Replaces the raw storage wholesale (checkpoint load). Vectors must be
-  /// mutually consistent for this column's type; the caller validates row
-  /// counts across columns via EngineTable::FinishRawLoad.
+  /// Replaces the raw storage wholesale with plain owned vectors (the
+  /// decode step of EnsureOwned). Vectors must be mutually consistent for
+  /// this column's type.
   void ReplaceStorage(std::vector<int64_t> nums,
                       std::vector<std::string> strings,
                       std::vector<uint8_t> nulls);
@@ -318,28 +315,14 @@ class EngineTable {
   /// Deletes the given rows (sorted ascending). Returns rows removed.
   int64_t DeleteRows(const std::vector<int64_t>& sorted_rows);
 
-  /// Drops the trailing rows so `rows` remain (undo of appends).
-  Status TruncateRows(int64_t rows);
-
-  /// Reverses DeleteRows: reinserts `images[i]` so it lands at row index
-  /// `sorted_rows[i]` of the restored table (the indexes recorded before
-  /// the delete). Surviving rows keep their relative order.
-  Status ReinsertRows(const std::vector<int64_t>& sorted_rows,
-                      const std::vector<std::vector<Value>>& images);
-
   /// Runs the per-column encoding stats pass (StorageColumn::Encode) over
   /// every column and returns how many columns ended up encoded. Logical
   /// content is unchanged, so existing derived state stays valid.
   size_t EncodeColumns();
 
-  /// Bulk-installs one column's raw storage (checkpoint load path); pair
-  /// with FinishRawLoad, which validates sizes and sets the row count.
-  Status LoadColumnStorage(size_t col, std::vector<int64_t> nums,
-                           std::vector<std::string> strings,
-                           std::vector<uint8_t> nulls);
-  /// Completes a raw load after every LoadColumnStorage (or
-  /// StorageColumn::AttachStorage) call: verifies each column holds
-  /// exactly `rows` entries, then installs the row count.
+  /// Completes a checkpoint attach after every StorageColumn::Attach*
+  /// call: verifies each column holds exactly `rows` entries, then
+  /// installs the row count.
   Status FinishRawLoad(int64_t rows);
 
   /// Lazily builds and returns a hash index over an int-typed column.
@@ -398,16 +381,11 @@ class EngineTable {
     return retired_.size();
   }
 
-  /// Deep copy of the table's storage for maintenance snapshot/rollback
-  /// and copy-on-write generation builds. Mapped columns copy their view
+  /// Deep copy of the table's storage for copy-on-write generation
+  /// builds. Mapped columns copy their view
   /// (still zero-copy; they materialise only if the clone is mutated).
   /// Indexes are not copied — they rebuild lazily on first use.
   std::unique_ptr<EngineTable> Clone() const;
-
-  /// Replaces this table's rows with `snapshot`'s and invalidates indexes;
-  /// the schemas must match column-for-column (count, names and types).
-  /// Restoring from a Clone() taken earlier rolls the table back.
-  Status RestoreFrom(const EngineTable& snapshot);
 
  private:
   /// One generation of lazily built derived state. Lives behind a

@@ -461,15 +461,19 @@ Result<int64_t> DeleteFactRange(Database* db, const std::string& channel,
   return removed + sales_removed;
 }
 
-Status RunDataMaintenance(Database* db, const MaintenanceOptions& options,
-                          MaintenanceReport* report, WalWriter* wal) {
-  report->operations.clear();
+namespace {
 
-  // Every mutation flows through one WalSession, which records logical
-  // before-images in memory (and in the WAL when a writer is attached).
-  // Rollback reverts exactly the rows an operation changed — the
-  // whole-table Clone snapshots this replaces copied all 12 mutated
-  // tables up front, regardless of how little the run would touch.
+/// Applies the 12 operations in order (filtered by options.operations),
+/// stopping at the first failure. No rollback: on failure `db` holds the
+/// completed operations plus whatever the failing one had applied, and
+/// `report` lists the completed ones. `inject_faults` arms the per-op
+/// "maintenance" fault site; the committed-prefix rebuild in
+/// RunMaintenanceGeneration re-applies already durable work and passes
+/// false.
+Status ApplyOperations(Database* db, const MaintenanceOptions& options,
+                       MaintenanceReport* report, WalWriter* wal,
+                       bool inject_faults) {
+  report->operations.clear();
   WalSession session(wal);
 
   auto run_op = [&](const std::string& name, auto&& fn) -> Status {
@@ -478,75 +482,57 @@ Status RunDataMaintenance(Database* db, const MaintenanceOptions& options,
                   name) == options.operations.end()) {
       return Status::OK();  // filtered out by options.operations
     }
-    const size_t mark = session.Mark();
-    Status status = [&]() -> Status {
-      TPCDS_FAULT_POINT("maintenance");
-      Stopwatch timer;
-      TPCDS_RETURN_NOT_OK(session.BeginOp(name));
-      Result<int64_t> rows = fn();
-      if (!rows.ok()) return rows.status();
-      // The commit marker makes the operation durable; its cost is part
-      // of the operation's reported time.
-      TPCDS_RETURN_NOT_OK(session.CommitOp(name, *rows));
-      report->operations.push_back(
-          MaintenanceOpResult{name, *rows, timer.ElapsedSeconds()});
-      return Status::OK();
-    }();
-    if (!status.ok() && wal != nullptr) {
-      // Per-operation atomicity under durability: undo only this
-      // operation's tail. Committed predecessors stay in memory and in
-      // the log; recovery replays exactly them.
-      TPCDS_RETURN_NOT_OK(session.UndoToMark(mark));
-    }
-    return status;
-  };
-
-  auto apply = [&]() -> Status {
-    // 1-3: history-keeping SCD updates (Fig. 9).
-    for (const char* dim : {"item", "store", "web_site"}) {
-      TPCDS_RETURN_NOT_OK(run_op(StringPrintf("scd_update:%s", dim), [&] {
-        return UpdateHistoryKeepingDimension(
-            db, dim, options.dimension_updates,
-            Mix64(options.seed ^ static_cast<uint64_t>(
-                                     options.refresh_cycle)),
-            &session);
-      }));
-    }
-    // 4-6: non-history updates (Fig. 8).
-    for (const char* dim : {"customer", "customer_address", "promotion"}) {
-      TPCDS_RETURN_NOT_OK(run_op(StringPrintf("inplace_update:%s", dim), [&] {
-        return UpdateNonHistoryDimension(
-            db, dim, options.dimension_updates,
-            Mix64(options.seed * 31 ^ static_cast<uint64_t>(
-                                          options.refresh_cycle)),
-            &session);
-      }));
-    }
-    // 7-9: clustered deletes; 10-12: clustered inserts with key translation
-    // (Fig. 10). Deletes run first: the insert refills the emptied window.
-    for (const char* channel : {"store", "catalog", "web"}) {
-      TPCDS_RETURN_NOT_OK(run_op(StringPrintf("fact_delete:%s", channel), [&] {
-        return DeleteFactRange(db, channel, options, &session);
-      }));
-    }
-    for (const char* channel : {"store", "catalog", "web"}) {
-      TPCDS_RETURN_NOT_OK(run_op(StringPrintf("fact_insert:%s", channel), [&] {
-        return InsertFactRefresh(db, channel, options, &session);
-      }));
-    }
+    if (inject_faults) TPCDS_FAULT_POINT("maintenance");
+    Stopwatch timer;
+    TPCDS_RETURN_NOT_OK(session.BeginOp(name));
+    TPCDS_ASSIGN_OR_RETURN(int64_t rows, fn());
+    // The commit marker makes the operation durable; its cost is part of
+    // the operation's reported time.
+    TPCDS_RETURN_NOT_OK(session.CommitOp(name, rows));
+    report->operations.push_back(
+        MaintenanceOpResult{name, rows, timer.ElapsedSeconds()});
     return Status::OK();
   };
 
-  Status status = apply();
-  if (!status.ok() && wal == nullptr) {
-    // No durability attached: the run is atomic as a whole. Unwind every
-    // operation (the 12 ops are interdependent — a fact insert resolves
-    // keys against SCD revisions created earlier in the same cycle) and
-    // clear the report, leaving the database exactly as before.
-    TPCDS_RETURN_NOT_OK(session.UndoToMark(0));
-    report->operations.clear();
+  // 1-3: history-keeping SCD updates (Fig. 9).
+  for (const char* dim : {"item", "store", "web_site"}) {
+    TPCDS_RETURN_NOT_OK(run_op(StringPrintf("scd_update:%s", dim), [&] {
+      return UpdateHistoryKeepingDimension(
+          db, dim, options.dimension_updates,
+          Mix64(options.seed ^ static_cast<uint64_t>(options.refresh_cycle)),
+          &session);
+    }));
   }
-  return status;
+  // 4-6: non-history updates (Fig. 8).
+  for (const char* dim : {"customer", "customer_address", "promotion"}) {
+    TPCDS_RETURN_NOT_OK(run_op(StringPrintf("inplace_update:%s", dim), [&] {
+      return UpdateNonHistoryDimension(
+          db, dim, options.dimension_updates,
+          Mix64(options.seed * 31 ^
+                static_cast<uint64_t>(options.refresh_cycle)),
+          &session);
+    }));
+  }
+  // 7-9: clustered deletes; 10-12: clustered inserts with key translation
+  // (Fig. 10). Deletes run first: the insert refills the emptied window.
+  for (const char* channel : {"store", "catalog", "web"}) {
+    TPCDS_RETURN_NOT_OK(run_op(StringPrintf("fact_delete:%s", channel), [&] {
+      return DeleteFactRange(db, channel, options, &session);
+    }));
+  }
+  for (const char* channel : {"store", "catalog", "web"}) {
+    TPCDS_RETURN_NOT_OK(run_op(StringPrintf("fact_insert:%s", channel), [&] {
+      return InsertFactRefresh(db, channel, options, &session);
+    }));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status RunDataMaintenance(Database* db, const MaintenanceOptions& options,
+                          MaintenanceReport* report, WalWriter* wal) {
+  return ApplyOperations(db, options, report, wal, /*inject_faults=*/true);
 }
 
 const std::vector<std::string>& MaintainedTables() {
@@ -571,31 +557,45 @@ Status RunMaintenanceGeneration(Database* db,
   // touched — the fork mutates private clones.
   TPCDS_ASSIGN_OR_RETURN(std::unique_ptr<Database> build,
                          db->ForkForMaintenance(MaintainedTables()));
-  Status status = RunDataMaintenance(build.get(), options, report, wal);
-  // Publish semantics mirror the in-place path: a WAL-attached run keeps
-  // its committed prefix (that is what crash recovery replays, and the
-  // recover-verify hash is stated against the live database), a
-  // non-durable failure already rolled the fork back to pristine — the
-  // swap is then skipped so `db` never even observes the no-op adoption.
-  if (status.ok() || wal != nullptr) {
-    // Optimizer statistics on the mutated tables were invalidated with the
-    // rest of the derived state. Recollect before publishing — but only
-    // where the outgoing generation had computed stats, so workloads that
-    // never plan cost-based don't pay an analyze pass per cycle.
-    std::vector<std::string> refresh;
-    for (const std::string& name : MaintainedTables()) {
-      const EngineTable* old_table = db->FindTable(name);
-      if (old_table != nullptr && old_table->ComputedStats() != nullptr) {
-        refresh.push_back(name);
+  MaintenanceReport run;
+  Status status = RunDataMaintenance(build.get(), options, &run, wal);
+  if (!status.ok()) {
+    // The fork holds the failed operation's partial tail: discard it.
+    // Without a WAL that is the whole rollback — `db` and `report` never
+    // see the run. With a WAL the committed operations are durable and
+    // crash recovery replays them, so the live database must hold exactly
+    // them: re-apply that prefix, unlogged, on a fresh fork.
+    if (wal == nullptr) return status;
+    TPCDS_ASSIGN_OR_RETURN(build, db->ForkForMaintenance(MaintainedTables()));
+    if (!run.operations.empty()) {
+      MaintenanceOptions prefix = options;
+      prefix.operations.clear();
+      for (const MaintenanceOpResult& op : run.operations) {
+        prefix.operations.push_back(op.operation);
       }
+      MaintenanceReport replay;
+      TPCDS_RETURN_NOT_OK(ApplyOperations(build.get(), prefix, &replay,
+                                          nullptr, /*inject_faults=*/false));
     }
-    TPCDS_RETURN_NOT_OK(db->AdoptTablesFrom(build.get()));
-    for (const std::string& name : refresh) {
-      EngineTable* table = db->FindTable(name);
-      if (table != nullptr) table->GetOrComputeStats();
-    }
-    if (provider != nullptr) provider->Publish(db->Snapshot());
   }
+  // Optimizer statistics on the mutated tables were invalidated with the
+  // rest of the derived state. Recollect before publishing — but only
+  // where the outgoing generation had computed stats, so workloads that
+  // never plan cost-based don't pay an analyze pass per cycle.
+  std::vector<std::string> refresh;
+  for (const std::string& name : MaintainedTables()) {
+    const EngineTable* old_table = db->FindTable(name);
+    if (old_table != nullptr && old_table->ComputedStats() != nullptr) {
+      refresh.push_back(name);
+    }
+  }
+  TPCDS_RETURN_NOT_OK(db->AdoptTablesFrom(build.get()));
+  for (const std::string& name : refresh) {
+    EngineTable* table = db->FindTable(name);
+    if (table != nullptr) table->GetOrComputeStats();
+  }
+  if (provider != nullptr) provider->Publish(db->Snapshot());
+  *report = std::move(run);
   return status;
 }
 

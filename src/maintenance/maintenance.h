@@ -51,17 +51,18 @@ struct MaintenanceReport {
 ///   1-3   history-keeping SCD updates: item, store, web_site (Fig. 9)
 ///   4-6   non-history SCD updates: customer, customer_address, promotion
 ///         (Fig. 8)
-///   7-9   clustered fact inserts per channel with business-key to
+///   7-9   clustered fact range-deletes per channel
+///   10-12 clustered fact inserts per channel with business-key to
 ///         surrogate-key translation (Fig. 10)
-///   10-12 clustered fact range-deletes per channel
 ///
-/// All mutations flow through a WalSession. Without a writer (`wal` null),
-/// the run is atomic as a whole: any failure rolls every operation back
-/// via the in-memory undo log (O(changed rows), not whole-table clones)
-/// and clears the report. With a writer attached, each operation commits
-/// individually — a failure undoes only the broken operation's tail, the
-/// committed prefix stays both in memory and in the log, and the report
-/// keeps the committed operations; crash recovery replays exactly those.
+/// This is the plain in-place apply, in order, with no rollback: every
+/// mutation flows through a WalSession (logged when `wal` is non-null),
+/// and the run stops at the first failure, leaving `db` with the completed
+/// operations plus the failing one's partial tail and `report` with the
+/// completed ones. Callers that need atomicity use
+/// RunMaintenanceGeneration, which runs this on a private fork; it also
+/// serves as the in-place reference the generation path is checked
+/// against.
 Status RunDataMaintenance(Database* db, const MaintenanceOptions& options,
                           MaintenanceReport* report,
                           WalWriter* wal = nullptr);
@@ -78,12 +79,15 @@ const std::vector<std::string>& MaintainedTables();
 /// acquired DataFacade keep reading the old generation untouched; the old
 /// tables are retired when the last such reader drains its shared_ptr.
 ///
-/// Commit semantics mirror the in-place path: without a WAL the swap only
-/// happens when every operation succeeded (a failure discards the fork —
-/// `db` never sees partial state, no undo needed). With a WAL attached the
-/// committed prefix is published even on failure, matching what crash
-/// recovery replays. When `provider` is non-null, the new generation's
-/// snapshot is published to it after the swap.
+/// The fork is the only commit mechanism. Without a WAL the swap happens
+/// only when every operation succeeded: a failure discards the fork, and
+/// `db` and `report` are left untouched. With a WAL each operation
+/// commits individually, and a failure at operation k discards the fork,
+/// re-applies operations 1..k-1 (unlogged, via MaintenanceOptions::
+/// operations) on a fresh fork and publishes that — exactly the committed
+/// prefix crash recovery replays; `report` lists those operations. When
+/// `provider` is non-null, the new generation's snapshot is published to
+/// it after the swap.
 Status RunMaintenanceGeneration(Database* db,
                                 const MaintenanceOptions& options,
                                 MaintenanceReport* report,
@@ -121,7 +125,7 @@ Status RunRefreshDutyCycle(Database* db,
 
 // --- individual operations (exposed for unit tests) ----------------------
 // Each accepts an optional WalSession; when omitted, mutations apply
-// directly (a private in-memory session) with no rollback capability.
+// directly and unlogged. None of them rolls back on failure.
 
 /// Fig. 9: for each updated business key, close the open revision (set
 /// rec_end_date) and insert a new open revision. Returns rows touched

@@ -10,7 +10,8 @@ namespace tpcds {
 namespace {
 
 constexpr char kWalMagic[8] = {'T', 'P', 'C', 'D', 'S', 'W', 'A', 'L'};
-constexpr uint32_t kWalVersion = 1;
+// Version 2 is redo-only: update and delete records carry no before-images.
+constexpr uint32_t kWalVersion = 2;
 constexpr size_t kHeaderBytes = sizeof(kWalMagic) + sizeof(uint32_t);
 // u32 payload_len + u32 crc + u8 type + u64 lsn.
 constexpr size_t kFrameBytes = 4 + 4 + 1 + 8;

@@ -20,9 +20,9 @@ uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0);
 /// recovery module (src/engine/recovery.cc).
 enum class WalRecordType : uint8_t {
   kOpBegin = 1,    // start of one refresh operation (payload: op name)
-  kUpdateCell = 2, // one cell overwrite with before- and after-image
+  kUpdateCell = 2, // one cell overwrite (after-image)
   kAppendRow = 3,  // one appended row (after-image of every cell)
-  kDeleteRows = 4, // clustered delete: row indexes + before-images
+  kDeleteRows = 4, // clustered delete (row indexes)
   kOpCommit = 5,   // commit marker: the operation is durable
 };
 
@@ -32,16 +32,18 @@ struct WalRecord {
   std::string payload;
 };
 
-/// Append-only log of data-maintenance mutations.
+/// Append-only, redo-only log of data-maintenance mutations.
 ///
-/// File layout: an 12-byte header ("TPCDSWAL" + u32 version), then records
+/// File layout: a 12-byte header ("TPCDSWAL" + u32 version 2), then records
 ///
 ///   u32 payload_len | u32 crc | u8 type | u64 lsn | payload bytes
 ///
 /// where crc covers everything after itself (type, lsn, payload). Each
 /// record is assigned a monotonically increasing LSN at append time; the
 /// commit marker of an operation is flushed so a crash can lose at most
-/// the uncommitted tail. Fault sites: "wal-append" fires on any record
+/// the uncommitted tail. Records carry after-images only: rollback is the
+/// discard of a maintenance fork, never a log undo, so version 1 logs
+/// (which also carried before-images) are refused on read. Fault sites: "wal-append" fires on any record
 /// append, "wal-commit" only on commit markers. With torn writes enabled,
 /// an injected append fault additionally leaves a partial record prefix
 /// in the file — the torn tail recovery must truncate.

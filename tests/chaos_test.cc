@@ -19,6 +19,7 @@
 #include "templates/templates.h"
 #include "util/fault.h"
 #include "util/random.h"
+#include "test_scratch.h"
 
 namespace tpcds {
 namespace {
@@ -258,8 +259,7 @@ TEST_F(ChaosScheduleTest, WindowFiresDeterministicallyOnceStarted) {
 // --- the duty-cycle crash drill ------------------------------------------
 
 std::string DrillScratch(const std::string& leaf) {
-  std::string path = ::testing::TempDir() + "chaos_test_" + leaf;
-  fs::remove_all(path);
+  std::string path = TestScratchPath("chaos_test_" + leaf);
   fs::create_directories(path);
   return path;
 }

@@ -3,12 +3,14 @@
 // round-trips through the accessors (NULLs, empty columns, single runs,
 // max bit-width, dictionary overflow fallback), the encoded-literal scan
 // kernels against the generic path, mutation-decodes-first semantics on
-// owned and mapped encoded columns, and checkpoint persistence (deep load
-// decodes to plain, attach maps encoded sections zero-copy).
+// owned and mapped encoded columns, and checkpoint persistence (the
+// verified load and the attach both map encoded sections zero-copy;
+// malformed sections are kDataLoss).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -17,8 +19,11 @@
 #include "engine/audit.h"
 #include "engine/batch.h"
 #include "engine/database.h"
+#include "engine/recovery.h"
 #include "engine/table.h"
 #include "util/string_util.h"
+#include "util/wal.h"
+#include "test_scratch.h"
 
 namespace tpcds {
 namespace {
@@ -396,8 +401,7 @@ TEST(EncodingTest, SetOnOwnedEncodedDictColumnDecodesFirst) {
 /// (representation-independent) content hash against a heap-plain table
 /// that saw the same mutations.
 TEST(EncodingTest, MutatingMappedEncodedColumnDecodesBeforeCow) {
-  const std::string dir = ::testing::TempDir() + "enc_mut_ckpt";
-  std::filesystem::remove_all(dir);
+  const std::string dir = TestScratchPath("enc_mut_ckpt");
 
   auto build = [](Database* db) {
     ASSERT_TRUE(db->CreateTable("t", {{"k", ColumnType::kIdentifier},
@@ -453,8 +457,7 @@ TEST(EncodingTest, MutatingMappedEncodedColumnDecodesBeforeCow) {
 class EncodedCheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "enc_ckpt";
-    std::filesystem::remove_all(dir_);
+    dir_ = TestScratchPath("enc_ckpt");
     BuildSource();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -463,14 +466,16 @@ class EncodedCheckpointTest : public ::testing::Test {
     ASSERT_TRUE(source_.CreateTable("s", {{"sk", ColumnType::kIdentifier},
                                           {"channel", ColumnType::kChar},
                                           {"sold", ColumnType::kDate},
-                                          {"price", ColumnType::kDecimal}})
+                                          {"price", ColumnType::kDecimal},
+                                          {"note", ColumnType::kVarchar}})
                     .ok());
     EngineTable* t = source_.FindTable("s");
     const char* channels[] = {"web", "store", "catalog"};
     for (int i = 0; i < 1200; ++i) {
       std::vector<std::string> row = {
           std::to_string(500'000 + i), channels[i % 3],
-          StringPrintf("1999-01-%02d", 1 + i / 200), "12.34"};
+          StringPrintf("1999-01-%02d", 1 + i / 200), "12.34",
+          StringPrintf("note-%06d", i * 7)};  // unique: stays plain
       if (i % 37 == 0) row[1] = "";  // NULL channel
       if (i % 53 == 0) row[2] = "";  // NULL date
       ASSERT_TRUE(t->AppendRowStrings(row).ok());
@@ -487,14 +492,17 @@ class EncodedCheckpointTest : public ::testing::Test {
   uint64_t hash_plain_ = 0;
 };
 
-TEST_F(EncodedCheckpointTest, DeepLoadDecodesToPlainAndVerifies) {
+TEST_F(EncodedCheckpointTest, LoadKeepsEncodedColumnsAndVerifies) {
   Database loaded;
   ASSERT_TRUE(loaded.LoadCheckpoint(dir_).ok());
   const EngineTable* t = loaded.FindTable("s");
   ASSERT_NE(t, nullptr);
+  const EngineTable* src = source_.FindTable("s");
   for (size_t c = 0; c < t->num_columns(); ++c) {
-    EXPECT_EQ(t->column(c).encoding(), ColEncoding::kPlain) << "col " << c;
+    EXPECT_EQ(t->column(c).encoding(), src->column(c).encoding())
+        << "col " << c;
   }
+  EXPECT_EQ(t->column(4).encoding(), ColEncoding::kPlain);
   EXPECT_EQ(HashTableContent(*t), hash_plain_);
 }
 
@@ -520,23 +528,177 @@ TEST_F(EncodedCheckpointTest, AttachMapsEncodedSectionsZeroCopy) {
   EXPECT_EQ(got->ToCsv(), want->ToCsv());
 }
 
-TEST_F(EncodedCheckpointTest, CorruptEncodedSectionFailsDeepLoadCleanly) {
-  // Flip one byte inside the table file body (past header + directory):
-  // deep load must report kDataLoss, not crash or silently decode junk.
-  const std::string path = dir_ + "/s.col";
+/// One column's directory entry in a v2 table file (engine/checkpoint.h):
+/// a 24-byte header, then 62-byte entries.
+struct ColumnSections {
+  size_t entry_pos = 0;
+  ColEncoding encoding = ColEncoding::kPlain;
+  uint64_t nulls_off = 0, data_off = 0, aux_off = 0, arena_off = 0,
+           arena_len = 0, param0 = 0;
+
+  static ColumnSections Read(const std::string& file, size_t col) {
+    ColumnSections s;
+    s.entry_pos = 24 + col * 62;
+    s.encoding = static_cast<ColEncoding>(file[s.entry_pos + 1]);
+    auto u64 = [&](size_t at) {
+      uint64_t v;
+      std::memcpy(&v, file.data() + s.entry_pos + at, sizeof(v));
+      return v;
+    };
+    s.nulls_off = u64(2);
+    s.data_off = u64(10);
+    s.aux_off = u64(18);
+    s.arena_off = u64(26);
+    s.arena_len = u64(34);
+    s.param0 = u64(42);
+    return s;
+  }
+
+  /// The column's section CRC (nulls, data, aux, arena back to back), for
+  /// the string, dictionary and RLE columns the tests below rewrite.
+  uint32_t Crc(const std::string& file, uint64_t rows) const {
+    uint64_t data_len = 0, aux_len = 0;
+    switch (encoding) {
+      case ColEncoding::kPlain:
+        data_len = (rows + 1) * sizeof(uint64_t);
+        break;
+      case ColEncoding::kDict:
+        data_len = rows * sizeof(uint32_t);
+        aux_len = (param0 + 1) * sizeof(uint64_t);
+        break;
+      case ColEncoding::kRle:
+        data_len = param0 * sizeof(int64_t);
+        aux_len = param0 * sizeof(uint32_t);
+        break;
+      case ColEncoding::kFor:
+        ADD_FAILURE() << "frame-of-reference sections are not rewritten";
+        break;
+    }
+    const char* d = file.data();
+    uint32_t crc = Crc32(d + nulls_off, rows);
+    crc = Crc32(d + data_off, data_len, crc);
+    if (aux_len > 0) crc = Crc32(d + aux_off, aux_len, crc);
+    if (arena_len > 0) crc = Crc32(d + arena_off, arena_len, crc);
+    return crc;
+  }
+};
+
+std::string ReadBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_GT(bytes.size(), 4096u);
-  bytes[bytes.size() - 17] ^= 0x40;
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
+}
+
+void PatchU32(std::string* bytes, size_t at, uint32_t v) {
+  std::memcpy(bytes->data() + at, &v, sizeof(v));
+}
+
+void PatchU64(std::string* bytes, size_t at, uint64_t v) {
+  std::memcpy(bytes->data() + at, &v, sizeof(v));
+}
+
+uint32_t GetU32(const std::string& bytes, size_t at) {
+  uint32_t v;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+uint64_t GetU64(const std::string& bytes, size_t at) {
+  uint64_t v;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+TEST_F(EncodedCheckpointTest, CorruptEncodedSectionFailsLoadCleanly) {
+  // Flip one byte inside the dictionary codes (past header + directory):
+  // the verified load must report kDataLoss, not crash or serve junk.
+  const std::string path = dir_ + "/s.col";
+  std::string bytes = ReadBytes(path);
+  const ColumnSections dict = ColumnSections::Read(bytes, 1);
+  ASSERT_EQ(dict.encoding, ColEncoding::kDict);
+  bytes[dict.data_off + 17] ^= 0x40;
+  WriteBytes(path, bytes);
   Database loaded;
   Status st = loaded.LoadCheckpoint(dir_);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
+}
+
+// Structurally malformed sections whose section, directory, file and
+// manifest CRCs are all recomputed: only the structural checks of the
+// verified load can catch them, and both LoadCheckpoint and Recover must
+// answer kDataLoss instead of reading out of bounds.
+TEST_F(EncodedCheckpointTest, MalformedSectionsWithValidCrcsAreDataLoss) {
+  struct Case {
+    const char* name;
+    size_t col;
+    ColEncoding encoding;
+    void (*corrupt)(std::string* file, const ColumnSections& s,
+                    uint64_t rows);
+  };
+  const Case cases[] = {
+      {"dict code >= ndv", 1, ColEncoding::kDict,
+       [](std::string* f, const ColumnSections& s, uint64_t) {
+         PatchU32(f, s.data_off + 5 * sizeof(uint32_t),
+                  static_cast<uint32_t>(s.param0));
+       }},
+      {"non-monotonic string offsets", 4, ColEncoding::kPlain,
+       [](std::string* f, const ColumnSections& s, uint64_t) {
+         const size_t at = s.data_off + 10 * sizeof(uint64_t);
+         PatchU64(f, at, GetU64(*f, at + 2 * sizeof(uint64_t)) + 1);
+       }},
+      {"non-increasing run ends", 2, ColEncoding::kRle,
+       [](std::string* f, const ColumnSections& s, uint64_t) {
+         PatchU32(f, s.aux_off + sizeof(uint32_t), GetU32(*f, s.aux_off));
+       }},
+      {"run ends short of the rows", 2, ColEncoding::kRle,
+       [](std::string* f, const ColumnSections& s, uint64_t rows) {
+         PatchU32(f, s.aux_off + (s.param0 - 1) * sizeof(uint32_t),
+                  static_cast<uint32_t>(rows - 1));
+       }},
+  };
+  const std::string table_path = dir_ + "/s.col";
+  const std::string manifest_path = dir_ + "/MANIFEST";
+  const std::string pristine_table = ReadBytes(table_path);
+  const std::string pristine_manifest = ReadBytes(manifest_path);
+  const uint64_t rows = GetU64(pristine_table, 12);
+  const uint32_t cols = GetU32(pristine_table, 8);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string file = pristine_table;
+    const ColumnSections s = ColumnSections::Read(file, c.col);
+    ASSERT_EQ(s.encoding, c.encoding);
+    c.corrupt(&file, s, rows);
+    PatchU32(&file, s.entry_pos + 58, s.Crc(file, rows));
+    PatchU32(&file, 20, Crc32(file.data() + 24, cols * 62));
+    WriteBytes(table_path, file);
+    // The manifest's last table entry ends with the file's CRC, right
+    // before the manifest's own CRC over its body.
+    std::string manifest = pristine_manifest;
+    PatchU32(&manifest, manifest.size() - 8, Crc32(file.data(), file.size()));
+    PatchU32(&manifest, manifest.size() - 4,
+             Crc32(manifest.data() + 8, manifest.size() - 12));
+    WriteBytes(manifest_path, manifest);
+
+    Database loaded;
+    Status st = loaded.LoadCheckpoint(dir_);
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
+    Database recovered;
+    Result<RecoveryReport> rec = Recover(&recovered, dir_, "");
+    EXPECT_EQ(rec.status().code(), StatusCode::kDataLoss)
+        << rec.status().ToString();
+  }
+  // Restored, the same files load and verify again.
+  WriteBytes(table_path, pristine_table);
+  WriteBytes(manifest_path, pristine_manifest);
+  Database loaded;
+  ASSERT_TRUE(loaded.LoadCheckpoint(dir_).ok());
+  EXPECT_EQ(HashTableContent(*loaded.FindTable("s")), hash_plain_);
 }
 
 TEST(EncodingStatsTest, ExplainReportsBytesTouchedAndEncodingShrinks) {

@@ -19,6 +19,7 @@
 #include "templates/templates.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "test_scratch.h"
 
 namespace tpcds {
 namespace {
@@ -289,8 +290,8 @@ TEST_F(VectorizedDifferentialTest, SampledTemplatesAgreeWithRowSetPath) {
   }
 }
 
-/// Backing-vs-backing differential: the same checkpoint deep-loaded onto
-/// the heap and mmap-attached (zero-copy) must answer the 17-template
+/// Backing-vs-backing differential: the generated heap database and its
+/// checkpoint mmap-attached (zero-copy) must answer the 17-template
 /// sample byte-identically, serial and parallel. This is the oracle for
 /// the v2 checkpoint format — any offset, alignment or arena bug shows up
 /// as a CSV diff.
@@ -302,8 +303,7 @@ class MmapDifferentialTest : public ::testing::Test {
     GeneratorOptions options;
     options.scale_factor = 0.002;
     ASSERT_TRUE(heap_->LoadTpcdsData(options).ok());
-    ckpt_dir_ = ::testing::TempDir() + "mmap_differential_ckpt";
-    std::filesystem::remove_all(ckpt_dir_);
+    ckpt_dir_ = TestScratchPath("mmap_differential_ckpt");
     Status saved = heap_->SaveCheckpoint(ckpt_dir_);
     ASSERT_TRUE(saved.ok()) << saved.ToString();
     attached_ = new Database();

@@ -18,6 +18,7 @@
 #include "engine/governor.h"
 #include "maintenance/maintenance.h"
 #include "util/fault.h"
+#include "test_scratch.h"
 
 namespace tpcds {
 namespace {
@@ -346,13 +347,13 @@ BenchmarkConfig MiniBenchmarkConfig() {
 
 TEST_F(GovernanceTest, FaultSweepOverEverySiteCompletesBenchmark) {
   // One-shot faults at every site: the first hit fails, the retry (or the
-  // maintenance rollback + retry, or the per-op WAL undo) succeeds or is
-  // recorded, and the run completes with the failure on record. Durable
+  // discarded maintenance fork + retry, or the committed-prefix rebuild
+  // under a WAL) succeeds or is recorded, and the run completes with the failure on record. Durable
   // sites (wal-*, ckpt-*) only exist when the benchmark runs in
   // durability mode, so those sweeps enable it; the io-* sites belong to
   // the flat-file writer, which the benchmark never touches — they are
   // exercised by the flat-file regression tests in recovery_test.
-  const std::string tmp = ::testing::TempDir() + "gov_fault_sweep";
+  const std::string tmp = TestScratchPath("gov_fault_sweep");
   for (const std::string& site : FaultInjector::Sites()) {
     if (site == "io-write" || site == "io-close") continue;
     const bool durable_site =
@@ -434,14 +435,14 @@ TEST_F(GovernanceTest, MaintenanceFaultRollsBackAndRetries) {
   options.scale_factor = 0.002;
   options.dimension_updates = 10;
   MaintenanceReport report;
-  Status st = RunDataMaintenance(&db, options, &report);
+  Status st = RunMaintenanceGeneration(&db, options, &report);
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(report.operations.empty());
   EXPECT_EQ(db.FindTable("store_sales")->num_rows(), sales_before);
   ExpectInvariantsHold(&db, "post-rollback");
 
   // The one-shot fault is spent: the retry applies all 12 operations.
-  st = RunDataMaintenance(&db, options, &report);
+  st = RunMaintenanceGeneration(&db, options, &report);
   FaultInjector::Global().Clear();
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(report.operations.size(), 12u);

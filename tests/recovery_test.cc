@@ -4,12 +4,13 @@
 // committed prefix, byte-identical (content hash) to the live database.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/audit.h"
@@ -20,6 +21,7 @@
 #include "util/fault.h"
 #include "util/flatfile.h"
 #include "util/wal.h"
+#include "test_scratch.h"
 
 namespace tpcds {
 namespace {
@@ -39,12 +41,7 @@ class RecoveryTest : public ::testing::Test {
     options.scale_factor = kSf;
     Status st = db_->LoadTpcdsData(options);
     ASSERT_TRUE(st.ok()) << st.ToString();
-    // Unique per process: ctest runs each test case as its own process,
-    // and two concurrent cases recreating one shared directory race
-    // remove_all against SaveCheckpoint/LoadCheckpoint.
-    ckpt_dir_ = ::testing::TempDir() + "recovery_test_ckpt_" +
-                std::to_string(::getpid());
-    fs::remove_all(ckpt_dir_);
+    ckpt_dir_ = TestScratchPath("recovery_test_ckpt");
     st = db_->SaveCheckpoint(ckpt_dir_);
     ASSERT_TRUE(st.ok()) << st.ToString();
   }
@@ -59,9 +56,7 @@ class RecoveryTest : public ::testing::Test {
 
   /// A per-test scratch path under the test tempdir, removed up front.
   static std::string Scratch(const std::string& leaf) {
-    std::string path = ::testing::TempDir() + "recovery_test_" + leaf;
-    fs::remove_all(path);
-    return path;
+    return TestScratchPath("recovery_test_" + leaf);
   }
 
   static void FlipByteNearEnd(const std::string& path) {
@@ -152,8 +147,7 @@ TEST_F(RecoveryTest, CheckpointWriteFaultsLeaveNoManifest) {
 }
 
 TEST(WalTest, RoundTripPreservesRecordsAndLsns) {
-  std::string path = ::testing::TempDir() + "wal_roundtrip.wal";
-  std::remove(path.c_str());
+  std::string path = TestScratchPath("wal_roundtrip.wal");
   {
     WalWriter wal;
     ASSERT_TRUE(wal.Open(path).ok());
@@ -175,8 +169,7 @@ TEST(WalTest, RoundTripPreservesRecordsAndLsns) {
 }
 
 TEST(WalTest, TornTailIsTruncatedNotFatal) {
-  std::string path = ::testing::TempDir() + "wal_torn.wal";
-  std::remove(path.c_str());
+  std::string path = TestScratchPath("wal_torn.wal");
   {
     WalWriter wal;
     ASSERT_TRUE(wal.Open(path).ok());
@@ -197,8 +190,7 @@ TEST(WalTest, TornTailIsTruncatedNotFatal) {
 }
 
 TEST(WalTest, MidFileCorruptionIsDataLoss) {
-  std::string path = ::testing::TempDir() + "wal_corrupt.wal";
-  std::remove(path.c_str());
+  std::string path = TestScratchPath("wal_corrupt.wal");
   {
     WalWriter wal;
     ASSERT_TRUE(wal.Open(path).ok());
@@ -249,7 +241,7 @@ TEST_F(RecoveryTest, CrashSweepRecoversExactlyTheCommittedPrefix) {
     wal.set_torn_writes(trial.torn);
     ASSERT_TRUE(FaultInjector::Global().Configure(trial.spec).ok());
     MaintenanceReport report;
-    Status dm = RunDataMaintenance(&live, DmOptions(), &report, &wal);
+    Status dm = RunMaintenanceGeneration(&live, DmOptions(), &report, &wal);
     FaultInjector::Global().Clear();
     (void)wal.Close();
     EXPECT_FALSE(dm.ok());  // every trial crashes mid-run
@@ -306,7 +298,7 @@ TEST_F(RecoveryTest, UncommittedTailIsDiscarded) {
   ASSERT_TRUE(wal.Open(wal_path).ok());
   ASSERT_TRUE(FaultInjector::Global().Configure("wal-commit=nth:1").ok());
   MaintenanceReport report;
-  Status dm = RunDataMaintenance(&live, DmOptions(), &report, &wal);
+  Status dm = RunMaintenanceGeneration(&live, DmOptions(), &report, &wal);
   FaultInjector::Global().Clear();
   (void)wal.Close();
   EXPECT_FALSE(dm.ok());
@@ -366,26 +358,168 @@ TEST_F(RecoveryTest, OperationsFilterRunsOnlyNamedOps) {
   EXPECT_EQ(report.operations[1].operation, "inplace_update:customer");
 }
 
-TEST(RestoreFromTest, SchemaMismatchIsRejected) {
-  EngineTable a("t", {{"k", ColumnType::kIdentifier},
-                      {"v", ColumnType::kVarchar}});
-  EngineTable renamed("t", {{"k", ColumnType::kIdentifier},
-                            {"w", ColumnType::kVarchar}});
-  EngineTable retyped("t", {{"k", ColumnType::kIdentifier},
-                            {"v", ColumnType::kInteger}});
-  EXPECT_FALSE(a.RestoreFrom(renamed).ok());
-  EXPECT_FALSE(a.RestoreFrom(retyped).ok());
+TEST_F(RecoveryTest, VersionOneWalIsRefusedCleanly) {
+  // Version 1 logs carried before-images; the redo-only reader must
+  // refuse them with a clean error rather than misparse their records.
+  std::string wal_path = Scratch("v1.wal");
+  {
+    WalWriter wal;
+    ASSERT_TRUE(wal.Open(wal_path).ok());
+    ASSERT_TRUE(wal.Append(WalRecordType::kOpBegin, "op").ok());
+    ASSERT_TRUE(wal.AppendCommit("op").ok());
+    ASSERT_TRUE(wal.Close().ok());
+  }
+  {
+    std::fstream f(wal_path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(8);  // past the magic: the u32 little-endian version
+    const char v1[4] = {1, 0, 0, 0};
+    f.write(v1, sizeof(v1));
+  }
+  Database recovered;
+  Result<RecoveryReport> rec = Recover(&recovered, ckpt_dir_, wal_path);
+  EXPECT_EQ(rec.status().code(), StatusCode::kDataLoss)
+      << rec.status().ToString();
+  EXPECT_NE(rec.status().message().find("version"), std::string::npos)
+      << rec.status().ToString();
+  std::remove(wal_path.c_str());
+}
 
-  ASSERT_TRUE(a.AppendRowStrings({"1", "x"}).ok());
-  std::unique_ptr<EngineTable> snapshot = a.Clone();
-  ASSERT_TRUE(a.AppendRowStrings({"2", "y"}).ok());
-  ASSERT_TRUE(a.RestoreFrom(*snapshot).ok());
-  EXPECT_EQ(a.num_rows(), 1);
+// Per-operation atomicity comes from discarding the generation fork alone.
+// A generation that fails at operation k publishes exactly operations
+// 1..k-1 when a WAL is attached (what recovery replays), and nothing at
+// all — live database and report untouched — without one.
+TEST_F(RecoveryTest, FailedGenerationPublishesExactlyTheCommittedPrefix) {
+  const std::vector<std::string> kOps = {
+      "scd_update:item",         "scd_update:store",
+      "scd_update:web_site",     "inplace_update:customer",
+      "inplace_update:customer_address", "inplace_update:promotion",
+      "fact_delete:store",       "fact_delete:catalog",
+      "fact_delete:web",         "fact_insert:store",
+      "fact_insert:catalog",     "fact_insert:web"};
+  for (int k : {1, 5, 9, 12}) {
+    SCOPED_TRACE("failing operation " + std::to_string(k));
+    const std::string spec = "maintenance=nth:" + std::to_string(k);
+
+    // With a WAL: the committed prefix is published.
+    std::string wal_path = Scratch("prefix.wal");
+    Database live;
+    ASSERT_TRUE(live.LoadCheckpoint(ckpt_dir_).ok());
+    WalWriter wal;
+    ASSERT_TRUE(wal.Open(wal_path).ok());
+    ASSERT_TRUE(FaultInjector::Global().Configure(spec).ok());
+    MaintenanceReport report;
+    Status dm = RunMaintenanceGeneration(&live, DmOptions(), &report, &wal);
+    FaultInjector::Global().Clear();
+    ASSERT_TRUE(wal.Close().ok());
+    EXPECT_FALSE(dm.ok());
+    ASSERT_EQ(report.operations.size(), static_cast<size_t>(k - 1));
+    for (int i = 0; i < k - 1; ++i) {
+      EXPECT_EQ(report.operations[i].operation, kOps[i]);
+    }
+    Database expected;
+    ASSERT_TRUE(expected.LoadCheckpoint(ckpt_dir_).ok());
+    if (k > 1) {
+      MaintenanceOptions prefix = DmOptions();
+      prefix.operations.assign(kOps.begin(), kOps.begin() + (k - 1));
+      MaintenanceReport prefix_report;
+      Status st = RunDataMaintenance(&expected, prefix, &prefix_report);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+    EXPECT_EQ(HashDatabaseContent(live), HashDatabaseContent(expected));
+    Database recovered;
+    Result<RecoveryReport> rec = Recover(&recovered, ckpt_dir_, wal_path);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    EXPECT_EQ(rec->ops_replayed, k - 1);
+    EXPECT_EQ(HashDatabaseContent(recovered), HashDatabaseContent(live));
+    std::remove(wal_path.c_str());
+
+    // Without a WAL: nothing is published.
+    Database untouched;
+    ASSERT_TRUE(untouched.LoadCheckpoint(ckpt_dir_).ok());
+    const uint64_t hash_before = HashDatabaseContent(untouched);
+    const uint64_t generation_before = untouched.generation();
+    MaintenanceReport kept;
+    kept.operations.push_back(MaintenanceOpResult{"earlier", 7, 0.5});
+    ASSERT_TRUE(FaultInjector::Global().Configure(spec).ok());
+    dm = RunMaintenanceGeneration(&untouched, DmOptions(), &kept);
+    FaultInjector::Global().Clear();
+    EXPECT_FALSE(dm.ok());
+    EXPECT_EQ(HashDatabaseContent(untouched), hash_before);
+    EXPECT_EQ(untouched.generation(), generation_before);
+    ASSERT_EQ(kept.operations.size(), 1u);
+    EXPECT_EQ(kept.operations[0].operation, "earlier");
+  }
+}
+
+// Two writers save one database into one directory while a third thread
+// attaches and hashes whatever is published. Every file is written under
+// its own temporary name and renamed into place, so no writer truncates a
+// file a reader has mapped: each attach either fails cleanly (nothing
+// published yet) or sees the source exactly.
+TEST(CheckpointConcurrencyTest, ConcurrentSavesNeverTearAnAttach) {
+  Database source;
+  ASSERT_TRUE(source
+                  .CreateTable("t", {{"k", ColumnType::kIdentifier},
+                                     {"name", ColumnType::kVarchar},
+                                     {"price", ColumnType::kDecimal}})
+                  .ok());
+  EngineTable* t = source.FindTable("t");
+  for (int i = 0; i < 4000; ++i) {
+    ASSERT_TRUE(t->AppendRowStrings({std::to_string(i),
+                                     "name-" + std::to_string(i * 7919),
+                                     std::to_string(i % 100) + ".25"})
+                    .ok());
+  }
+  const uint64_t want = HashDatabaseContent(source);
+  const std::string dir = TestScratchPath("concurrent_ckpt");
+
+  constexpr int kSaves = 100;
+  std::atomic<int> writers_left{2};
+  std::atomic<int> save_failures{0};
+  auto writer = [&] {
+    for (int i = 0; i < kSaves; ++i) {
+      if (!source.SaveCheckpoint(dir).ok()) ++save_failures;
+    }
+    --writers_left;
+  };
+  int attached = 0;
+  int mismatched = 0;
+  std::vector<std::string> unclean;
+  auto reader = [&] {
+    while (writers_left.load() > 0) {
+      Database db;
+      Status st = db.AttachCheckpoint(dir);
+      if (st.ok()) {
+        ++attached;
+        if (HashDatabaseContent(db) != want) ++mismatched;
+      } else if (st.code() != StatusCode::kNotFound) {
+        unclean.push_back(st.ToString());
+      }
+    }
+  };
+  std::thread w1(writer);
+  std::thread w2(writer);
+  std::thread r(reader);
+  w1.join();
+  w2.join();
+  r.join();
+  EXPECT_EQ(save_failures.load(), 0);
+  EXPECT_EQ(mismatched, 0) << attached << " attaches";
+  EXPECT_TRUE(unclean.empty()) << unclean.front();
+
+  // The last save left a complete checkpoint behind, and no temporaries.
+  Database last;
+  ASSERT_TRUE(last.LoadCheckpoint(dir).ok());
+  EXPECT_EQ(HashDatabaseContent(last), want);
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    EXPECT_EQ(e.path().filename().string().find(".tmp"), std::string::npos)
+        << e.path();
+  }
+  fs::remove_all(dir);
 }
 
 TEST(FlatFileFaultTest, WriteFaultSurfacesAndLatches) {
-  std::string path = ::testing::TempDir() + "flatfile_fault.dat";
-  std::remove(path.c_str());
+  std::string path = TestScratchPath("flatfile_fault.dat");
   FlatFileWriter writer;
   ASSERT_TRUE(writer.Open(path).ok());
   ASSERT_TRUE(writer.Append({"1", "a"}).ok());
@@ -401,8 +535,7 @@ TEST(FlatFileFaultTest, WriteFaultSurfacesAndLatches) {
 }
 
 TEST(FlatFileFaultTest, CloseFaultSurfaces) {
-  std::string path = ::testing::TempDir() + "flatfile_close_fault.dat";
-  std::remove(path.c_str());
+  std::string path = TestScratchPath("flatfile_close_fault.dat");
   FlatFileWriter writer;
   ASSERT_TRUE(writer.Open(path).ok());
   ASSERT_TRUE(writer.Append({"1", "a"}).ok());

@@ -1,6 +1,6 @@
 // Statistics subsystem tests (engine/stats.h): HyperLogLog NDV error
 // bounds, equi-depth histogram selectivity against exact counts, the
-// checkpoint STATS sidecar round-trip (deep load and mmap attach), and
+// checkpoint STATS sidecar round-trip (verified load and mmap attach), and
 // invalidation + refresh through data maintenance.
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "maintenance/maintenance.h"
 #include "util/bytes.h"
 #include "util/random.h"
+#include "test_scratch.h"
 
 namespace tpcds {
 namespace {
@@ -181,8 +182,7 @@ TEST(StatsTest, CheckpointRoundTripWarmsLoadAndAttach) {
       db.FindTable("item")->ComputedStats();
   ASSERT_NE(item_stats, nullptr);
 
-  const std::string dir = ::testing::TempDir() + "stats_ckpt";
-  std::filesystem::remove_all(dir);
+  const std::string dir = TestScratchPath("stats_ckpt");
   Status saved = db.SaveCheckpoint(dir);
   ASSERT_TRUE(saved.ok()) << saved.ToString();
   ASSERT_TRUE(std::filesystem::exists(dir + "/STATS"));
